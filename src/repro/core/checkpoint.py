@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -83,6 +83,33 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+#: values ``_json_native`` passes through untouched
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_native(obj):
+    """``obj`` with every dict key turned into the string JSON writes for it.
+
+    ``json.dumps`` orders int keys numerically under ``sort_keys`` but
+    writes them as strings, which reload and sort as text; ``2 < 10``
+    while ``"10" < "2"``.  Hashing this form instead of the runtime one
+    keeps the content checksum stable across the save/load round trip.
+    ``json.dumps(key)`` is the string JSON writes for any key it
+    accepts.  Containers are copied (tuples become lists, as JSON has
+    them); leaves are shared.
+    """
+    if isinstance(obj, dict):
+        return {
+            (k if type(k) is str else json.dumps(k)): (
+                v if type(v) in _JSON_LEAVES else _json_native(v)
+            )
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _JSON_LEAVES else _json_native(v) for v in obj]
+    return obj
 
 
 def _replica_to_dict(rep: Replica) -> Dict:
@@ -345,7 +372,9 @@ class Checkpoint:
         """JSON text form (floats at full ``repr`` precision, so times and
         coordinates round-trip bit-exactly), stamped with the content
         checksum."""
-        data = asdict(self)
+        data = _json_native(
+            {f.name: getattr(self, f.name) for f in fields(self)}
+        )
         data["checksum"] = self._content_checksum(data)
         return json.dumps(data, default=_json_default, sort_keys=True)
 

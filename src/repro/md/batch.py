@@ -7,9 +7,13 @@ mdin parser, 1024 separate ``BrownianIntegrator.run`` loops of small
 executes a whole phase of MD units in one structure-of-arrays pass:
 
 * every unit's mdin/coordinates are parsed up front,
-* units whose thermodynamics allow it (same salt, restraints and step
-  schedule — temperature and seed may differ) are stacked into an
-  ``(R, 2)`` walker array and integrated together, and
+* units that share an integration schedule (integrator, step count,
+  sample stride, dt, friction, mass) and restrain the same angles in the
+  same order are stacked into an ``(R, 2)`` walker array and integrated
+  together.  Each walker keeps its own Hamiltonian as data down the walker
+  axis: temperature, Debye screening factor, restraint centres and force
+  constants may all differ, so one sync phase of a T x salt x umbrella
+  ladder is one group per restraint-angle pattern, not one per unit, and
 * each replica keeps its *own* ``default_rng(seed)`` whose normal draws are
   pre-generated as one ``(n_steps, 2)`` block.
 
@@ -21,7 +25,9 @@ differential suite in ``tests/perf/test_soa_equivalence.py``:
   same state, so the post-integration bath draw matches too;
 * the force field is elementwise over the walker axis (no reductions), so
   evaluating ``(R,)`` rows together reproduces each ``(1,)`` evaluation bit
-  for bit;
+  for bit; the per-walker screening factors and restraint parameters go
+  through :meth:`ForceField.stacked_gradient`, which applies the scalar
+  path's ufuncs to the same doubles in the same order;
 * the per-replica noise scale is computed with the exact scalar arithmetic
   of the reference and applied via an ``(R, 1) * (R, 2)`` broadcast, which
   multiplies the same pairs of doubles.
@@ -44,7 +50,11 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.forcefield import wrap_angle
+from repro.md.forcefield import (
+    debye_screening_factor,
+    stack_restraints,
+    wrap_angle,
+)
 from repro.md.toymd import MDResult, ToyMD
 from repro.utils.units import KB_KCAL_PER_MOL_K
 
@@ -121,8 +131,9 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
         rng = np.random.Generator(np.random.PCG64(seed))
         parsed.append((params, state, rng, coords))
 
-    # Group by everything the stacked integration must share; temperature
-    # and rng stream stay per-replica inside a group.
+    # Group by the integration schedule and the restrained angles; the
+    # Hamiltonian's values (temperature, salt, restraint centres and force
+    # constants) and the rng stream stay per-walker inside a group.
     results: List[MDResult] = [None] * len(tags)  # type: ignore[list-item]
     group_idx: Dict[tuple, List[int]] = {}
     group_order: List[tuple] = []
@@ -135,8 +146,7 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
             ip.dt,
             ip.friction,
             ip.mass,
-            state.salt_molar,
-            state.restraints,
+            tuple(r.angle for r in state.restraints),
         )
         if key not in group_idx:
             group_idx[key] = []
@@ -152,22 +162,18 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
                 results[i] = adapter.toymd.run(coords, state, params, rng)
             continue
         params = parsed[idxs[0]][0]
-        state0 = parsed[idxs[0]][1]
         # Chunk so the pre-drawn normals stay bounded in memory.
         rows = max(1, _MAX_NORMALS // (2 * max(1, params.n_steps)))
         for lo in range(0, len(idxs), rows):
             chunk = idxs[lo : lo + rows]
             entries = [
-                (parsed[i][3], parsed[i][1].temperature, parsed[i][2])
-                for i in chunk
+                (parsed[i][3], parsed[i][1], parsed[i][2]) for i in chunk
             ]
             outs = _integrate_brownian_group(
                 adapter.toymd,
                 params.n_steps,
                 params.sample_stride,
                 params.integrator_params,
-                state0.salt_molar,
-                state0.restraints,
                 entries,
             )
             for i, result in zip(chunk, outs):
@@ -186,16 +192,17 @@ def _integrate_brownian_group(
     n_steps: int,
     sample_stride: int,
     iparams,
-    salt_molar: float,
-    restraints,
     entries: List[tuple],
 ) -> List[MDResult]:
-    """Overdamped Langevin for R same-Hamiltonian walkers in one pass.
+    """Overdamped Langevin for R walkers, one Hamiltonian each, in one pass.
 
-    ``entries`` is ``[(coords (2,), temperature, rng), ...]``; every
-    arithmetic step below reproduces ``BrownianIntegrator.run`` +
-    ``ToyMD.run`` per element, with the per-replica noise scale broadcast
-    down the walker axis.
+    ``entries`` is ``[(coords (2,), ThermodynamicState, rng), ...]``; the
+    states may differ in temperature, salt and restraint values but must
+    restrain the same angles in the same order.  Every arithmetic step
+    below reproduces ``BrownianIntegrator.run`` + ``ToyMD.run`` per
+    element: the noise scale, Debye screening factor and restraint
+    parameters are computed per walker with the scalar arithmetic and
+    broadcast down the walker axis.
     """
     ff = toymd.forcefield
     dt = iparams.dt
@@ -204,10 +211,15 @@ def _integrate_brownian_group(
 
     n = len(entries)
     x = np.array([e[0] for e in entries], dtype=float)
+    states = [e[1] for e in entries]
     noise_col = np.empty((n, 1))
-    for i, (_c, temperature, _r) in enumerate(entries):
-        kt = KB_KCAL_PER_MOL_K * temperature
+    for i, state in enumerate(states):
+        kt = KB_KCAL_PER_MOL_K * state.temperature
         noise_col[i, 0] = math.sqrt(2.0 * kt * dt / gamma)
+    screening = np.array(
+        [debye_screening_factor(s.salt_molar, ff.elec_r0) for s in states]
+    )
+    slots = stack_restraints([s.restraints for s in states])
     # One (n_steps, 2) block per replica == its n_steps sequential (1, 2)
     # draws, and leaves each generator ready for the bath draw below.
     normals = np.empty((n, n_steps, 2))
@@ -216,9 +228,7 @@ def _integrate_brownian_group(
 
     samples = [] if sample_stride > 0 else None
     for step in range(n_steps):
-        gphi, gpsi = ff.gradient(
-            x[:, 0], x[:, 1], salt_molar=salt_molar, restraints=restraints
-        )
+        gphi, gpsi = ff.stacked_gradient(x[:, 0], x[:, 1], screening, slots)
         x[:, 0] -= drift * gphi
         x[:, 1] -= drift * gpsi
         x += noise_col * normals[:, step, :]
@@ -239,9 +249,10 @@ def _integrate_brownian_group(
     # (3,) wells per replica — same ufunc loops, bit-identical elements).
     # Restraint energies stay per-replica: ``d**2`` on a 0-d scalar and on
     # a 1-D array take different pow paths and are NOT bit-stable.
-    tors_all = ff.energy(x[:, 0], x[:, 1], salt_molar=salt_molar)
+    tors_all = ff.screened_energy(x[:, 0], x[:, 1], screening)
     results = []
-    for i, (_c, temperature, rng) in enumerate(entries):
+    for i, (_c, state, rng) in enumerate(entries):
+        temperature = state.temperature
         final = x[i]
         traj = (
             samples_arr[:, i, :]
@@ -250,7 +261,7 @@ def _integrate_brownian_group(
         )
         tors = float(tors_all[i])
         restr = 0.0
-        for r in restraints:
+        for r in state.restraints:
             restr += float(r.energy(final[0], final[1]))
         bath = toymd.bath.sample_energy(temperature, rng)
         results.append(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,17 +103,54 @@ class UmbrellaRestraint:
         d_deg = np.degrees(wrap_angle(theta - _deg(self.center_deg)))
         return self.k * d_deg**2
 
+    def gradient_params(self) -> Tuple[float, float]:
+        """``(center in radians, 2 k)``: what :func:`restraint_gradient`
+        takes for this restraint."""
+        return _deg(self.center_deg), 2.0 * self.k
+
     def gradient(
         self, phi: np.ndarray, psi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(dV/dphi, dV/dpsi) in kcal/mol/radian (vectorized)."""
         theta = phi if self.angle == "phi" else psi
-        d_rad = wrap_angle(theta - _deg(self.center_deg))
-        d_deg = np.degrees(d_rad)
-        # dV/dtheta[rad] = 2 k d_deg * (180/pi)
-        g = 2.0 * self.k * d_deg * (180.0 / math.pi)
+        g = restraint_gradient(theta, *self.gradient_params())
         zero = np.zeros_like(g)
         return (g, zero) if self.angle == "phi" else (zero, g)
+
+
+def restraint_gradient(theta, center_rad, two_k) -> np.ndarray:
+    """dV/dtheta in kcal/mol/radian of one umbrella restraint.
+
+    ``center_rad`` and ``two_k`` come from
+    :meth:`UmbrellaRestraint.gradient_params`, as scalars for one
+    restraint or as arrays with one entry per walker; either way every
+    element sees the same doubles in the same order.
+    """
+    d_deg = np.degrees(wrap_angle(theta - center_rad))
+    # dV/dtheta[rad] = 2 k d_deg * (180/pi)
+    return two_k * d_deg * (180.0 / math.pi)
+
+
+def stack_restraints(
+    restraint_sets: Sequence[Sequence[UmbrellaRestraint]],
+) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+    """Per-walker restraints as slots for :meth:`ForceField.stacked_gradient`.
+
+    Every set must restrain the same angles in the same order; slot ``j``
+    is ``(angle, centers in radians, 2 k)`` with one entry per walker.
+    """
+    angles = tuple(r.angle for r in restraint_sets[0])
+    slots = []
+    for j, angle in enumerate(angles):
+        params = [rs[j].gradient_params() for rs in restraint_sets]
+        slots.append(
+            (
+                angle,
+                np.array([c for c, _ in params], dtype=float),
+                np.array([k2 for _, k2 in params], dtype=float),
+            )
+        )
+    return slots
 
 
 def debye_screening_factor(salt_molar: float, r0_angstrom: float = 4.0) -> float:
@@ -235,10 +272,15 @@ class ForceField:
     ) -> np.ndarray:
         """Full potential energy (kcal/mol) at the given thermodynamic state."""
         s = debye_screening_factor(salt_molar, self.elec_r0)
-        v = self.rama_energy(phi, psi) + s * self.elec_energy(phi, psi)
+        v = self.screened_energy(phi, psi, s)
         for r in restraints:
             v = v + r.energy(phi, psi)
         return v
+
+    def screened_energy(self, phi, psi, screening) -> np.ndarray:
+        """Restraint-free energy at Debye factor ``screening``: a scalar,
+        or an array with one factor per walker."""
+        return self.rama_energy(phi, psi) + screening * self.elec_energy(phi, psi)
 
     def gradient(
         self,
@@ -250,14 +292,44 @@ class ForceField:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradient of :meth:`energy` wrt (phi, psi) in kcal/mol/rad."""
         s = debye_screening_factor(salt_molar, self.elec_r0)
-        gphi, gpsi = self.rama_gradient(phi, psi)
-        ephi, epsi = self.elec_gradient(phi, psi)
-        gphi = gphi + s * ephi
-        gpsi = gpsi + s * epsi
+        gphi, gpsi = self.screened_gradient(phi, psi, s)
         for r in restraints:
             rphi, rpsi = r.gradient(phi, psi)
             gphi = gphi + rphi
             gpsi = gpsi + rpsi
+        return gphi, gpsi
+
+    def screened_gradient(
+        self, phi, psi, screening
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradient of :meth:`screened_energy`."""
+        gphi, gpsi = self.rama_gradient(phi, psi)
+        ephi, epsi = self.elec_gradient(phi, psi)
+        return gphi + screening * ephi, gpsi + screening * epsi
+
+    def stacked_gradient(
+        self,
+        phi: np.ndarray,
+        psi: np.ndarray,
+        screening: np.ndarray,
+        slots: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`gradient` for walkers that each carry their own Hamiltonian.
+
+        ``screening`` holds one Debye factor per walker and ``slots`` the
+        restraints from :func:`stack_restraints`.  Element ``i`` equals
+        ``gradient`` at walker ``i``'s salt and restraints bit for bit: the
+        same ufuncs meet the same doubles in the same order.  The ``+ 0``
+        that :meth:`UmbrellaRestraint.gradient` adds to the other angle is
+        left out; it cannot change a bit here, because a sum is ``-0.0``
+        only when both terms are, and ``rama_gradient`` starts from ``+0.0``.
+        """
+        gphi, gpsi = self.screened_gradient(phi, psi, screening)
+        for angle, center_rad, two_k in slots:
+            if angle == "phi":
+                gphi = gphi + restraint_gradient(phi, center_rad, two_k)
+            else:
+                gpsi = gpsi + restraint_gradient(psi, center_rad, two_k)
         return gphi, gpsi
 
 

@@ -182,9 +182,12 @@ class ToyMD:
     ) -> List[MDResult]:
         """Integrate many walkers *of the same state* in one vectorized pass.
 
-        Used by analysis/validation code that wants equilibrium samples
-        quickly; the REMD framework itself runs each replica as its own
-        task (they generally have distinct states).
+        All walkers share ``state`` and draw from the one ``rng``.  Used
+        by analysis/validation code that wants equilibrium samples
+        quickly.  REMD replicas each have their own state and random
+        stream; :func:`repro.md.batch.run_md_batch` stacks a phase of
+        those instead, with each walker's temperature, salt and restraint
+        values as per-walker arrays.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:

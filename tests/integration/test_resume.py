@@ -270,6 +270,45 @@ class TestAsyncQuiesceResume:
         ).run()
         equivalent(golden, final)
 
+    def test_wide_ladder_checkpoints_load_and_resume(self, tmp_path):
+        """Twelve replicas put ten or more int keys in ``cycles_done`` and
+        the ladder's occupancy/walk dicts; those sort differently as ints
+        and as the strings JSON turns them into, which the content
+        checksum must not see."""
+        from repro.core.config import DimensionSpec, ResourceSpec
+
+        over = dict(
+            dimensions=[DimensionSpec("temperature", 12, 273.0, 373.0)],
+            resource=ResourceSpec("supermic", cores=6),
+            numeric_steps=2,
+        )
+        golden = RepEx(async_config(**over), checkpoint_every_s=CADENCE).run()
+        first = RepEx(
+            async_config(**over),
+            checkpoint_every_s=CADENCE,
+            checkpoint_dir=tmp_path,
+        )
+        first.run()
+        files = sorted(tmp_path.glob("quiesce_*.json"))
+        assert files
+        assert len(first.checkpoints[0].async_state["cycles_done"]) >= 10
+        for path in files:
+            assert Checkpoint.load(path).to_json() == path.read_text()
+
+        RepEx(
+            async_config(**over),
+            checkpoint_every_s=CADENCE,
+            checkpoint_dir=tmp_path / "stopped",
+            stop_after_checkpoint=1,
+        ).run()
+        resumed = RepEx(
+            async_config(**over),
+            checkpoint_every_s=CADENCE,
+            resume_from=tmp_path / "stopped" / "latest.json",
+        ).run()
+        assert not resumed.interrupted
+        equivalent(golden, resumed)
+
     def test_preempt_warning_induces_checkpoint(self, tmp_path):
         """A preemption warning quiesces once, ahead of the preemption,
         with no periodic cadence configured."""

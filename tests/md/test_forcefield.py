@@ -12,6 +12,7 @@ from repro.md.forcefield import (
     SolventBath,
     UmbrellaRestraint,
     debye_screening_factor,
+    stack_restraints,
     wrap_angle,
 )
 from repro.utils.units import KB_KCAL_PER_MOL_K
@@ -166,6 +167,43 @@ class TestUmbrellaRestraint:
             UmbrellaRestraint("chi", 0.0, 0.02)
         with pytest.raises(ValueError):
             UmbrellaRestraint("phi", 0.0, -0.1)
+
+
+class TestStackedGradient:
+    def test_matches_scalar_gradient_bit_for_bit(self):
+        """One walker per (salt, restraints) pair, evaluated together,
+        equals each walker's own ``gradient`` exactly."""
+        ff = ForceField()
+        rng = np.random.default_rng(3)
+        n = 64
+        phi = rng.uniform(-math.pi, math.pi, n)
+        psi = rng.uniform(-math.pi, math.pi, n)
+        salts = rng.uniform(0.0, 2.0, n)
+        sets = [
+            (
+                UmbrellaRestraint("psi", float(c), float(k)),
+                UmbrellaRestraint("phi", float(-c), float(2.0 * k)),
+            )
+            for c, k in zip(rng.uniform(-180, 180, n), rng.uniform(0, 5, n))
+        ]
+        screening = np.array(
+            [debye_screening_factor(c, ff.elec_r0) for c in salts]
+        )
+        gphi, gpsi = ff.stacked_gradient(
+            phi, psi, screening, stack_restraints(sets)
+        )
+        for i in range(n):
+            rphi, rpsi = ff.gradient(
+                phi[i : i + 1],
+                psi[i : i + 1],
+                salt_molar=float(salts[i]),
+                restraints=sets[i],
+            )
+            assert (gphi[i], gpsi[i]) == (rphi[0], rpsi[0])
+        assert ff.screened_energy(phi, psi, screening).tolist() == [
+            float(ff.energy(phi[i], psi[i], salt_molar=float(salts[i])))
+            for i in range(n)
+        ]
 
 
 class TestSolventBath:

@@ -169,6 +169,18 @@ SCENARIOS = {
         "resource": ResourceSpec("supermic", cores=6),
         "n_cycles": 2,
     },
+    # T x salt x umbrella in Mode II waves: every unit of a wave has its
+    # own salt/umbrella pair, so one stacked group mixes Hamiltonians.
+    "tsu-mode2": {
+        "dimensions": [
+            DimensionSpec("temperature", 2, 290.0, 330.0),
+            DimensionSpec("salt", 2, 0.0, 1.0),
+            DimensionSpec("umbrella", 3, 0.0, 360.0, angle="phi"),
+        ],
+        "resource": ResourceSpec("supermic", cores=4),
+        "execution_mode": "II",
+        "n_cycles": 3,
+    },
 }
 
 
@@ -299,10 +311,12 @@ class TestGoldenTraces:
 def _write_units(adapter, sandbox, specs):
     """Write one mdin/inpcrd(/RST) trio per spec; returns the tags."""
     tags = []
-    for i, (temp, n_steps, stride, seed, restraints) in enumerate(specs):
+    for i, (temp, salt, n_steps, stride, seed, restraints) in enumerate(
+        specs
+    ):
         tag = f"u{i:03d}"
         state = ThermodynamicState(
-            temperature=temp, restraints=tuple(restraints)
+            temperature=temp, salt_molar=salt, restraints=tuple(restraints)
         )
         params = MDParams(
             n_steps=n_steps,
@@ -317,6 +331,7 @@ def _write_units(adapter, sandbox, specs):
 
 unit_spec = st.tuples(
     st.floats(min_value=250.0, max_value=450.0),
+    st.floats(min_value=0.0, max_value=2.0),
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -335,7 +350,10 @@ unit_spec = st.tuples(
 @settings(max_examples=20, deadline=None)
 @given(specs=st.lists(unit_spec, min_size=1, max_size=6))
 def test_batched_md_is_bit_identical_to_per_unit(specs):
-    """run_md_batch == N sequential run_md calls: results AND output files."""
+    """run_md_batch == N sequential run_md calls: results AND output files.
+
+    One batch mixes temperatures, salts, restraint values and angle
+    patterns, so walkers of one stacked group differ in all of them."""
     ref_adapter, soa_adapter = AmberAdapter(), AmberAdapter()
     ref_box, soa_box = Sandbox(), Sandbox()
     tags = _write_units(ref_adapter, ref_box, specs)
