@@ -19,6 +19,7 @@ Concretely, the AMM:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -45,7 +46,30 @@ from repro.md.toymd import MDParams, ThermodynamicState
 from repro.pilot.cluster import ClusterSpec
 from repro.pilot.staging import StagingAction, StagingDirective
 from repro.pilot.unit import ComputeUnit, UnitDescription
-from repro.utils.rng import RNGRegistry
+from repro.utils.rng import RNGRegistry, counter_normal, counter_normals
+
+
+#: input files charged at the performance model's restart-file size
+_COORDINATE_SUFFIXES = (".inpcrd", ".coor", ".rst", ".restart.coor")
+
+
+def _md_tag(rid: int, cycle: int) -> str:
+    return f"md_r{rid:05d}_c{cycle:04d}"
+
+
+def _input_size_mb(sandbox: Sandbox, filename: str, restart_mb: float) -> float:
+    """Size (MB) charged for staging one input file.
+
+    Coordinate files stand in for full-system restart files, whose size
+    the performance model supplies (``restart_mb``); everything else is
+    charged at its real (tiny, text) size.
+    """
+    if filename.endswith(_COORDINATE_SUFFIXES):
+        return restart_mb
+    try:
+        return max(sandbox.size_mb(filename), 0.001)
+    except Exception:
+        return 0.001
 
 
 class ApplicationManager:
@@ -78,6 +102,7 @@ class ApplicationManager:
                 dim.evaluator = lambda coords, salt, _t=toymd: (
                     _t.single_point_energy(coords, _TS(salt_molar=salt))
                 )
+        self._state_cache: Dict[tuple, ThermodynamicState] = {}
         self.schedule = DimensionSchedule(self.dimensions)
         self.selector = get_pair_selector(config.pair_selector)
         self.rng = RNGRegistry(config.seed)
@@ -107,14 +132,20 @@ class ApplicationManager:
         otherwise jittered around the alpha-R basin.
         """
         ranges = [range(d.n_windows) for d in self.dimensions]
+        combos = list(itertools.product(*ranges))
+        draws = counter_normals(
+            self.config.seed,
+            [("init", rid, k) for rid in range(len(combos)) for k in (0, 1)],
+        )
+        start = np.radians([-63.0, -42.0]) + 0.15 * np.array(draws).reshape(
+            len(combos), 2
+        )
         replicas = []
-        alpha_r = np.radians([-63.0, -42.0])
-        for rid, combo in enumerate(itertools.product(*ranges)):
+        for rid, combo in enumerate(combos):
             indices = {
                 d.name: idx for d, idx in zip(self.dimensions, combo)
             }
-            rng = self.rng.stream("init", rid)
-            coords = alpha_r + 0.15 * rng.standard_normal(2)
+            coords = start[rid].copy()
             for d, idx in zip(self.dimensions, combo):
                 if isinstance(d, UmbrellaDimension):
                     k = 0 if d.angle == "phi" else 1
@@ -140,125 +171,137 @@ class ApplicationManager:
                 )
         return replicas
 
-    def replica_speed(self, rid: int) -> float:
-        """Per-replica duration multiplier (heterogeneous ensembles).
+    def replica_speed(self, rid: int, cycle: int = 0) -> float:
+        """Duration multiplier of one replica's MD task (heterogeneous
+        ensembles).
 
-        Deterministic per (seed, rid); identity when
-        ``replica_heterogeneity`` is 0.  Models ensembles mixing levels of
-        theory, where "different replicas may have significant differences
-        in performance" (paper Sec. 2.1).
+        A log-normal draw, deterministic per (seed, rid, cycle); identity
+        when ``replica_heterogeneity`` is 0.  Models ensembles mixing
+        levels of theory, where "different replicas may have significant
+        differences in performance" (paper Sec. 2.1).  Each cycle draws
+        anew, so a replica is not slow in every cycle — the spread the
+        synchronous barrier pays for and the asynchronous pattern absorbs.
         """
         sigma = self.config.replica_heterogeneity
         if sigma <= 0:
             return 1.0
-        rng = self.rng.stream("replica-speed", rid)
-        return float(np.exp(sigma * rng.standard_normal()))
+        return math.exp(
+            sigma * counter_normal(self.config.seed, "replica-speed", rid, cycle)
+        )
 
     def state_of(self, replica: Replica) -> ThermodynamicState:
-        """The full thermodynamic state a replica's windows define.
+        """The full thermodynamic state a replica's windows define."""
+        return self.states_of((replica,))[replica.rid]
+
+    def states_of(self, replicas: Sequence[Replica]) -> Dict[int, ThermodynamicState]:
+        """rid -> state for a set of replicas.
 
         States are cached per window-index tuple: ladder values are fixed
         at dimension construction (see ``ExchangeDimension``), and
         ``ThermodynamicState`` is frozen, so one instance per lattice
         point serves every replica that visits it.
         """
-        key = tuple(replica.window(d.name) for d in self.dimensions)
-        cache = self.__dict__.setdefault("_state_cache", {})
-        state = cache.get(key)
-        if state is None:
-            state = ThermodynamicState()
-            for dim in self.dimensions:
-                state = dim.apply(state, replica.window(dim.name))
-            cache[key] = state
-        return state
-
-    def states_of(self, replicas: Sequence[Replica]) -> Dict[int, ThermodynamicState]:
-        """rid -> state for a set of replicas."""
-        return {r.rid: self.state_of(r) for r in replicas}
+        dims = self.dimensions
+        cache = self._state_cache
+        out = {}
+        for r in replicas:
+            windows = r.param_indices
+            key = tuple([windows[d.name] for d in dims])
+            state = cache.get(key)
+            if state is None:
+                state = ThermodynamicState()
+                for dim in dims:
+                    state = dim.apply(state, windows[dim.name])
+                cache[key] = state
+            out[r.rid] = state
+        return out
 
     # -- MD phase ------------------------------------------------------------------
 
     def md_tag(self, replica: Replica, cycle: int) -> str:
         """Unique task tag for one replica's MD phase of one cycle."""
-        return f"md_r{replica.rid:05d}_c{cycle:04d}"
+        return _md_tag(replica.rid, cycle)
+
+    def md_phase(
+        self, replicas: Sequence[Replica], cycle: int
+    ) -> List[UnitDescription]:
+        """Build the compute-unit descriptions of one MD phase in one pass.
+
+        Everything a phase shares — MD parameters, executable, states per
+        lattice point, output file sizes — is resolved once; per replica
+        only the tag, engine seed, input files, jittered duration and
+        staging directives remain.
+        """
+        config, perf, system = self.config, self.perf, self.system
+        adapter, sandbox = self.adapter, self.sandbox
+        params = MDParams(
+            n_steps=config.effective_numeric_steps,
+            sample_stride=config.sample_stride,
+        )
+        states = self.states_of(replicas)
+        tags = [_md_tag(r.rid, cycle) for r in replicas]
+        durations = perf.md_durations(
+            self.executable,
+            system,
+            config.steps_per_cycle,
+            [r.cores for r in replicas],
+            tags,
+        )
+        info_mb = perf.mdinfo_size_mb()
+        restart_mb = perf.restart_size_mb(system)
+        speed_factor = self.cluster.speed_factor
+        heterogeneous = config.replica_heterogeneity > 0
+        descs = []
+        for replica, tag, base_duration in zip(replicas, tags, durations):
+            rid = replica.rid
+            seed = (config.seed * 1_000_003 + rid * 1_009 + cycle * 7) % (
+                2**31 - 1
+            )
+            input_files = adapter.write_input(
+                sandbox, tag, replica.coords, states[rid], params, seed
+            )
+            # every directive is a COPY, StagingDirective's default action
+            in_staging = [
+                StagingDirective(
+                    f"client:///{f}",
+                    f"sandbox:///{tag}/{f}",
+                    _input_size_mb(sandbox, f, restart_mb),
+                )
+                for f in input_files
+            ]
+            info, restart = adapter.info_file(tag), adapter.restart_file(tag)
+            out_staging = [
+                StagingDirective(
+                    f"sandbox:///{tag}/{info}", f"staging:///{info}", info_mb
+                ),
+                StagingDirective(
+                    f"sandbox:///{tag}/{restart}",
+                    f"staging:///{restart}",
+                    restart_mb,
+                ),
+            ]
+            duration = speed_factor * base_duration
+            if heterogeneous:
+                duration *= self.replica_speed(rid, cycle)
+            descs.append(
+                UnitDescription(
+                    name=tag,
+                    cores=replica.cores,
+                    gpus=config.gpus_per_replica,
+                    duration=duration,
+                    work=lambda tag=tag: ram.execute_md(adapter, sandbox, tag),
+                    batch=MDWork(adapter=adapter, sandbox=sandbox, tag=tag),
+                    input_staging=in_staging,
+                    output_staging=out_staging,
+                    metadata={"phase": "md", "rid": rid, "cycle": cycle},
+                )
+            )
+        return descs
 
     def md_task(self, replica: Replica, cycle: int) -> UnitDescription:
-        """Build the compute-unit description for one MD phase."""
-        tag = self.md_tag(replica, cycle)
-        state = self.state_of(replica)
-        params = MDParams(
-            n_steps=self.config.effective_numeric_steps,
-            sample_stride=self.config.sample_stride,
-        )
-        seed = (
-            self.config.seed * 1_000_003 + replica.rid * 1_009 + cycle * 7
-        ) % (2**31 - 1)
-        input_files = self.adapter.write_input(
-            self.sandbox, tag, replica.coords, state, params, seed
-        )
-
-        in_staging = [
-            StagingDirective(
-                source=f"client:///{f}",
-                target=f"sandbox:///{tag}/{f}",
-                size_mb=self._file_size(f),
-                action=StagingAction.COPY,
-            )
-            for f in input_files
-        ]
-        out_staging = [
-            StagingDirective(
-                source=f"sandbox:///{tag}/{self.adapter.info_file(tag)}",
-                target=f"staging:///{self.adapter.info_file(tag)}",
-                size_mb=self.perf.mdinfo_size_mb(),
-                action=StagingAction.COPY,
-            ),
-            StagingDirective(
-                source=f"sandbox:///{tag}/{self.adapter.restart_file(tag)}",
-                target=f"staging:///{self.adapter.restart_file(tag)}",
-                size_mb=self.perf.restart_size_mb(self.system),
-                action=StagingAction.COPY,
-            ),
-        ]
-
-        duration = self.cluster.speed_factor * self.perf.md_duration(
-            self.executable,
-            self.system,
-            self.config.steps_per_cycle,
-            cores=replica.cores,
-            task_key=tag,
-        )
-        duration *= self.replica_speed(replica.rid)
-        adapter, sandbox = self.adapter, self.sandbox
-        return UnitDescription(
-            name=tag,
-            cores=replica.cores,
-            gpus=self.config.gpus_per_replica,
-            duration=duration,
-            work=lambda: ram.execute_md(adapter, sandbox, tag),
-            batch=MDWork(adapter=adapter, sandbox=sandbox, tag=tag),
-            input_staging=in_staging,
-            output_staging=out_staging,
-            metadata={
-                "phase": "md",
-                "rid": replica.rid,
-                "cycle": cycle,
-            },
-        )
-
-    def _file_size(self, filename: str) -> float:
-        """Size (MB) charged for staging one input file.
-
-        Coordinate files stand in for full-system restart files, whose
-        size the performance model supplies; everything else is charged
-        at its real (tiny, text) size.
-        """
-        if filename.endswith((".inpcrd", ".coor", ".rst", ".restart.coor")):
-            return self.perf.restart_size_mb(self.system)
-        try:
-            return max(self.sandbox.size_mb(filename), 0.001)
-        except Exception:
-            return 0.001
+        """Build the compute-unit description for one replica's MD phase
+        (the one-replica case of :meth:`md_phase`)."""
+        return self.md_phase([replica], cycle)[0]
 
     def process_md_output(
         self, replica: Replica, unit: ComputeUnit, cycle: int, dim_name: Optional[str]
@@ -282,7 +325,7 @@ class ApplicationManager:
             replica.cycle = cycle + 1
             return False
 
-        tag = self.md_tag(replica, cycle)
+        tag = _md_tag(replica.rid, cycle)
         energies, coords = ram.read_md_outputs(self.adapter, self.sandbox, tag)
         replica.coords = coords
         replica.last_energies = dict(energies)

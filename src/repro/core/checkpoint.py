@@ -50,6 +50,7 @@ from repro.core.replica import CycleRecord, Replica, ReplicaStatus
 from repro.core.results import CycleTiming
 from repro.core.exchange.base import SwapProposal
 from repro.obs.manifest import config_hash
+from repro.utils.rng import RNG_SCHEME
 
 #: Bump on any incompatible change to the checkpoint layout.
 SCHEMA_VERSION = 2
@@ -74,6 +75,13 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, incompatible or mismatched checkpoints."""
 
 
+class RNGSchemeError(CheckpointError):
+    """Raised when resuming a checkpoint taken under another one-shot draw
+    scheme (:data:`repro.utils.rng.RNG_SCHEME`): its run drew different
+    task durations and start coordinates, so the resumed run would
+    diverge silently from an uninterrupted one."""
+
+
 def _json_default(obj):
     """Coerce numpy scalars/arrays left in runtime state to JSON types."""
     if isinstance(obj, np.integer):
@@ -84,6 +92,10 @@ def _json_default(obj):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
+
+#: ``json.dumps(obj, default=_json_default, sort_keys=True)`` with one
+#: reused encoder
+_dump = json.JSONEncoder(default=_json_default, sort_keys=True).encode
 
 #: values ``_json_native`` passes through untouched
 _JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
@@ -182,7 +194,10 @@ def _replica_from_dict(data: Dict) -> Replica:
 
 
 def _capture_rng(emm) -> Dict[str, object]:
-    rng_blob: Dict[str, object] = {"amm": emm.amm.rng.state_dict()}
+    rng_blob: Dict[str, object] = {
+        "scheme": RNG_SCHEME,
+        "amm": emm.amm.rng.state_dict(),
+    }
     failure_model = emm.session.failure_model
     if failure_model is not None and getattr(failure_model, "rng", None) is not None:
         rng_blob["failures"] = failure_model.rng.bit_generator.state
@@ -364,19 +379,30 @@ class Checkpoint:
     def _content_checksum(data: Dict[str, object]) -> str:
         """sha256 of the canonical dump with the checksum field removed."""
         blob = {k: v for k, v in data.items() if k != "checksum"}
-        return hashlib.sha256(
-            json.dumps(blob, default=_json_default, sort_keys=True).encode()
-        ).hexdigest()
+        return hashlib.sha256(_dump(blob).encode()).hexdigest()
 
     def to_json(self) -> str:
         """JSON text form (floats at full ``repr`` precision, so times and
         coordinates round-trip bit-exactly), stamped with the content
-        checksum."""
+        checksum.
+
+        The snapshot is serialised once: each top-level ``"key": value``
+        member is encoded on its own, the members joined in key order are
+        exactly the canonical dump :meth:`_content_checksum` hashes, and
+        the ``"checksum"`` member is then spliced in at its sorted place.
+        """
         data = _json_native(
             {f.name: getattr(self, f.name) for f in fields(self)}
         )
-        data["checksum"] = self._content_checksum(data)
-        return json.dumps(data, default=_json_default, sort_keys=True)
+        data.pop("checksum", None)
+        members = {
+            key: f"{_dump(key)}: {_dump(data[key])}" for key in sorted(data)
+        }
+        checksum = hashlib.sha256(
+            ("{" + ", ".join(members.values()) + "}").encode()
+        ).hexdigest()
+        members["checksum"] = f'"checksum": "{checksum}"'
+        return "{" + ", ".join(members[key] for key in sorted(members)) + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -514,7 +540,14 @@ class Checkpoint:
             ) from None
 
 
-def _check_pattern(emm, ckpt: Checkpoint, expected: str) -> None:
+def _check_resumable(emm, ckpt: Checkpoint, expected: str) -> None:
+    scheme = ckpt.rng.get("scheme")
+    if scheme != RNG_SCHEME:
+        raise RNGSchemeError(
+            f"checkpoint was taken under RNG scheme {scheme!r}, this build "
+            f"draws with {RNG_SCHEME!r}; resuming would not reproduce the "
+            f"uninterrupted run — restart it from the beginning"
+        )
     if ckpt.pattern != expected:
         raise CheckpointError(
             f"checkpoint was taken by the {ckpt.pattern} pattern but this "
@@ -630,7 +663,7 @@ def restore(
     schedules, re-quarantining crashed nodes), events at or after it stay
     pending, exactly as at the original boundary.
     """
-    _check_pattern(emm, ckpt, "synchronous")
+    _check_resumable(emm, ckpt, "synchronous")
     if ckpt.next_cycle >= emm.config.n_cycles:
         raise CheckpointError(
             f"checkpoint is already complete ({ckpt.next_cycle} of "
@@ -656,7 +689,7 @@ def restore_async(emm, ckpt: Checkpoint) -> Dict[str, object]:
     counters, the pending window-timer fire time, and the accumulated
     timings/proposals.
     """
-    _check_pattern(emm, ckpt, "asynchronous")
+    _check_resumable(emm, ckpt, "asynchronous")
     state = ckpt.async_state
     if not isinstance(state, dict):
         raise CheckpointError(

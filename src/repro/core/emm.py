@@ -140,7 +140,7 @@ class ExecutionManagerBase:
         Returns rid -> the final unit for that replica (possibly a
         relaunched one).
         """
-        descs = [self.amm.md_task(r, cycle) for r in replicas]
+        descs = self.amm.md_phase(replicas, cycle)
         units = self.mode.run_phase(self.session, self.pilot, descs)
         self._account_md(units)
         unit_of = {
@@ -180,7 +180,7 @@ class ExecutionManagerBase:
                     self.n_retired += 1
             if not to_relaunch:
                 break
-            redo = [self.amm.md_task(r, cycle) for r in to_relaunch]
+            redo = self.amm.md_phase(to_relaunch, cycle)
             scheduler = self.pilot.scheduler
             if scheduler is not None:
                 # Node quarantine may have shrunk the pilot below what a
@@ -246,7 +246,7 @@ class ExecutionManagerBase:
         window closes.  Fault-policy recovery applies only to replicas
         that arrived within the window.
         """
-        descs = [self.amm.md_task(r, cycle) for r in replicas]
+        descs = self.amm.md_phase(replicas, cycle)
         units = self.session.submit_units(self.pilot, descs)
         self._wait_barrier(units, deadline_s)
         unit_of = {u.description.metadata["rid"]: u for u in units}

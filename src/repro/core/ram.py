@@ -7,9 +7,10 @@ execute on HPC cluster." (paper, Sec. 3.3.)
 
 Accordingly, every function here is the *body of a compute unit's work
 callable* — it sees only the sandbox (files) and explicit arguments, never
-the EMM/session.  Energies are parsed back from the engine's output files
+the EMM/session.  Energies are read back from the engine's output files
 rather than passed through memory, keeping the adapters' file round-trips
-on the critical path.
+on the critical path (parsed text on disk, typed records in memory; see
+:mod:`repro.md.sandbox`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Batched MD execution: many replicas, one vectorised integration pass.
 
 The reference execution path runs one ``adapter.run_md(sandbox, tag)`` call
-per compute unit — for a 1024-replica phase that is 1024 trips through the
-mdin parser, 1024 separate ``BrownianIntegrator.run`` loops of small
-(1, 2)-shaped NumPy ops, and 1024 rounds of output formatting.  This module
+per compute unit — for a 1024-replica phase that is 1024 input reads,
+1024 separate ``BrownianIntegrator.run`` loops of small (1, 2)-shaped
+NumPy ops, and 1024 rounds of output writes.  This module
 executes a whole phase of MD units in one structure-of-arrays pass:
 
-* every unit's mdin/coordinates are parsed up front,
+* every unit's mdin/coordinates are read up front,
 * units that share an integration schedule (integrator, step count,
   sample stride, dt, friction, mass) and restrain the same angles in the
   same order are stacked into an ``(R, 2)`` walker array and integrated
@@ -45,8 +45,7 @@ batch — same results, no vectorisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +62,7 @@ from repro.utils.units import KB_KCAL_PER_MOL_K
 _MAX_NORMALS = 8_000_000
 
 
-@dataclass(eq=False, frozen=True)
-class MDWork:
+class MDWork(NamedTuple):
     """Batchable-work descriptor carried on ``UnitDescription.batch``.
 
     Identifies one MD task (adapter + sandbox + tag) so a phase engine can
@@ -120,8 +118,8 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
     if not _batchable(adapter):
         return [adapter.run_md(sandbox, tag) for tag in tags]
 
-    # Parse phase: exactly run_md's parse + coordinate read + rng creation,
-    # hoisted out of the integration loop for every unit at once.
+    # Read phase: exactly run_md's input read + coordinate read + rng
+    # creation, hoisted out of the integration loop for every unit at once.
     parsed = []
     for tag in tags:
         params, state, seed = adapter._parse_mdin(sandbox, tag)
@@ -179,11 +177,9 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
             for i, result in zip(chunk, outs):
                 results[i] = result
 
-    # Output phase: the same three files run_md writes, same formats.
+    # Output phase: the same three files run_md writes.
     for tag, result in zip(tags, results):
-        adapter._write_mdinfo(sandbox, tag, result)
-        adapter._write_coords(sandbox, adapter.restart_file(tag), result.final_coords)
-        adapter._write_trajectory(sandbox, tag, result)
+        adapter._write_outputs(sandbox, tag, result)
     return results
 
 

@@ -14,8 +14,9 @@ calibrated to the anchors the paper reports (Section 4):
 * single-point energy tasks (``sander`` group runs for S-REMD): startup-
   dominated, cost scaling with the number of states evaluated.
 
-Per-task jitter is multiplicative log-normal, deterministic per
-(name, cycle) key — it is what makes barrier (max-over-replicas) times
+Per-task jitter is multiplicative log-normal, a pure function of the
+model seed and the task name (one :func:`~repro.utils.rng.counter_normal`
+draw per task) — it is what makes barrier (max-over-replicas) times
 exceed the mean and efficiency decline with replica count, exactly the
 mechanism behind the paper's weak-scaling curves.
 """
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.md.system import MolecularSystem
+from repro.utils.rng import counter_normals
 
 # -- calibration constants (seconds) ----------------------------------------
 
@@ -146,6 +146,25 @@ class PerformanceModel:
             )
         return self._jittered(base, task_key)
 
+    def md_durations(
+        self,
+        executable: str,
+        system: MolecularSystem,
+        n_steps: int,
+        cores: Sequence[int],
+        task_keys: Sequence[str],
+    ) -> List[float]:
+        """:meth:`md_duration` for a whole phase: ``cores[i]`` and
+        ``task_keys[i]`` describe task ``i``.  The base cost is computed once
+        per core count, the jitter once per task."""
+        bases = {
+            c: self.md_duration(executable, system, n_steps, c) for c in set(cores)
+        }
+        return [
+            bases[c] * factor
+            for c, factor in zip(cores, self._jitter_factors(task_keys))
+        ]
+
     # -- exchange-phase tasks -----------------------------------------------------
 
     def exchange_calc_duration(
@@ -236,19 +255,17 @@ class PerformanceModel:
     # -- internals ---------------------------------------------------------------
 
     def _jittered(self, base: float, task_key: Optional[str]) -> float:
-        if self.jitter == 0.0 or task_key is None:
+        if task_key is None:
             return base
-        # One-shot generator per task key: deterministic, and avoids caching
-        # hundreds of thousands of streams across a long scaling sweep.
-        # Generator(PCG64(seq)) is what default_rng(seq) constructs; spelling
-        # it out skips default_rng's errstate wrapper on this hot path.
-        digest = 0
-        for ch in task_key:
-            digest = (digest * 131 + ord(ch)) % (2**32)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, digest]))
-        )
-        return float(base * math.exp(self.jitter * rng.standard_normal()))
+        return base * self._jitter_factors((task_key,))[0]
+
+    def _jitter_factors(self, task_keys: Sequence[str]) -> List[float]:
+        """The log-normal duration multiplier of each task key."""
+        if self.jitter == 0.0:
+            return [1.0] * len(task_keys)
+        jitter = self.jitter
+        draws = counter_normals(self.seed, [(key,) for key in task_keys])
+        return [math.exp(jitter * z) for z in draws]
 
 
 #: A quiet model for tests that need exact arithmetic.

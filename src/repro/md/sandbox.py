@@ -9,13 +9,31 @@ directory per unit.  Two backends share one interface:
 * on-disk — real files under a root path; used by the validation example
   and the adapter tests so the text formats are genuinely written and
   re-parsed from disk.
+
+Adapters write structured files as *records* (:meth:`Sandbox.write_record`):
+typed values holding exactly what the file's parser would read back, plus
+a ``render()`` method producing the file text.  The backend decides
+whether that text exists: on disk it is written and parsed on every read;
+in memory the record itself is stored and handed back by
+:meth:`Sandbox.read_record`, and text is rendered only when something
+reads the file as text or asks its size.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Protocol, Type, TypeVar, Union
+
+
+class FileRecord(Protocol):
+    """A typed file: its values plus the text a real engine would write."""
+
+    def render(self) -> str:
+        """The file's text."""
+
+
+_R = TypeVar("_R")
 
 
 class SandboxError(IOError):
@@ -27,7 +45,7 @@ class Sandbox:
 
     def __init__(self, root: Optional[os.PathLike] = None):
         self._root = Path(root) if root is not None else None
-        self._mem: Dict[str, str] = {}
+        self._mem: Dict[str, Union[str, FileRecord]] = {}
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
 
@@ -57,8 +75,32 @@ class Sandbox:
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_text(text)
 
+    def write_record(self, name: str, record: FileRecord) -> None:
+        """Create or overwrite a file from a typed record.
+
+        The in-memory backend stores ``record`` itself; the on-disk backend
+        writes ``record.render()``.
+        """
+        if self._root is None:
+            self._mem[name] = record
+        else:
+            self.write_text(name, record.render())
+
+    def read_record(self, name: str, kind: Type[_R]) -> _R:
+        """Read a file as a ``kind`` record.
+
+        Returns the stored record when the in-memory backend holds one of
+        type ``kind``; otherwise parses the file's text with
+        ``kind.parse`` (on disk, or for a file written as text).
+        """
+        if self._root is None:
+            value = self._mem.get(name)
+            if type(value) is kind:
+                return value
+        return kind.parse(self.read_text(name))
+
     def read_text(self, name: str) -> str:
-        """Read a file's contents.
+        """Read a file's contents (a stored record is rendered).
 
         Raises
         ------
@@ -67,9 +109,10 @@ class Sandbox:
         """
         if self._root is None:
             try:
-                return self._mem[name]
+                value = self._mem[name]
             except KeyError:
                 raise SandboxError(f"no such file in sandbox: {name!r}") from None
+            return value if type(value) is str else value.render()
         p = self._path(name)
         if not p.is_file():
             raise SandboxError(f"no such file in sandbox: {name!r}")
@@ -92,12 +135,9 @@ class Sandbox:
         return sorted(out)
 
     def size_mb(self, name: str) -> float:
-        """File size in MB (UTF-8 length for the memory backend)."""
+        """File size in MB (UTF-8 length of the text for the memory backend)."""
         if self._root is None:
-            try:
-                return len(self._mem[name].encode()) / 1.0e6
-            except KeyError:
-                raise SandboxError(f"no such file in sandbox: {name!r}") from None
+            return len(self.read_text(name).encode()) / 1.0e6
         p = self._path(name)
         if not p.is_file():
             raise SandboxError(f"no such file in sandbox: {name!r}")

@@ -42,6 +42,11 @@ SCHEMA_VERSION = 3
 _EXCHANGE_PHASES = frozenset({"exchange", "single_point"})
 
 
+#: ``json.dumps(obj, sort_keys=True)`` without building a fresh encoder per
+#: call; a manifest encodes one record per unit, span and event
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 class ManifestError(ValueError):
     """Raised when a manifest cannot be parsed."""
 
@@ -232,36 +237,31 @@ class RunManifest:
             "n_units": self.n_units,
             "partial": self.partial,
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.append(
-            json.dumps({"kind": "metrics", "data": self.metrics}, sort_keys=True)
-        )
+        lines = [_encode(header)]
+        lines.append(_encode({"kind": "metrics", "data": self.metrics}))
         for span in self.spans:
             record = {"kind": "span"}
             record.update(span.to_dict())
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         for unit in self.units:
             record = {"kind": "unit"}
             record.update(unit)
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         for event in self.fault_events:
             record = {"kind": "fault"}
             record.update(event)
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         for entry in self.ladder:
             record = {"kind": "ladder"}
             record.update(entry)
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         for entry in self.alerts:
             record = {"kind": "alert"}
             record.update(entry)
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         for t, unit, state in self.timeline:
             lines.append(
-                json.dumps(
-                    {"kind": "event", "t": t, "unit": unit, "state": state},
-                    sort_keys=True,
-                )
+                _encode({"kind": "event", "t": t, "unit": unit, "state": state})
             )
         return "\n".join(lines) + "\n"
 
@@ -492,7 +492,7 @@ class ManifestStream:
     def _write(self, record: Dict) -> None:
         if self._closed:
             return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(_encode(record) + "\n")
         self._fh.flush()
 
     # -- sinks ---------------------------------------------------------------

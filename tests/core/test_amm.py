@@ -120,6 +120,75 @@ class TestMDTask:
         assert len(desc.output_staging) == 2
 
 
+class TestMDPhase:
+    """``md_phase`` builds a whole phase in one pass; ``md_task`` is its
+    one-replica case.  Both must describe every unit identically."""
+
+    def phase_and_tasks(self, cfg, cluster_name="supermic", perf=None):
+        from repro.md.perfmodel import PerformanceModel
+
+        def amm():
+            return ApplicationManager(
+                cfg, get_cluster(cluster_name), perf=perf or PerformanceModel()
+            )
+
+        phase_amm, task_amm = amm(), amm()
+        reps = phase_amm.create_replicas()
+        cycle = 3
+        phase = phase_amm.md_phase(reps, cycle)
+        tasks = [task_amm.md_task(r, cycle) for r in task_amm.create_replicas()]
+        return phase_amm, task_amm, phase, tasks
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},
+            dict(
+                dimensions=[
+                    DimensionSpec("temperature", 2, 273.0, 373.0),
+                    DimensionSpec("salt", 2, 0.0, 1.0),
+                    DimensionSpec("umbrella", 3, 0.0, 360.0, angle="psi"),
+                ],
+                resource=ResourceSpec("stampede", cores=12),
+                replica_heterogeneity=0.4,
+            ),
+        ],
+        ids=["tremd", "tsu-heterogeneous"],
+    )
+    def test_field_for_field_equal_to_md_task(self, over):
+        cfg = small_tremd_config(**over)
+        cluster = cfg.resource.name
+        phase_amm, task_amm, phase, tasks = self.phase_and_tasks(cfg, cluster)
+        assert len(phase) == len(tasks) == cfg.n_replicas
+        for p, t in zip(phase, tasks):
+            assert p.name == t.name
+            assert (p.cores, p.gpus) == (t.cores, t.gpus)
+            assert p.duration == t.duration
+            assert p.input_staging == t.input_staging
+            assert p.output_staging == t.output_staging
+            assert p.metadata == t.metadata
+            assert (p.batch.tag, p.batch.adapter is phase_amm.adapter) == (
+                t.batch.tag,
+                True,
+            )
+            assert p.batch.sandbox is phase_amm.sandbox
+        # the input files each wrote are the same bytes
+        names = phase_amm.sandbox.listdir()
+        assert names == task_amm.sandbox.listdir()
+        for name in names:
+            assert phase_amm.sandbox.read_text(name) == task_amm.sandbox.read_text(
+                name
+            )
+
+    def test_work_closures_bind_their_own_tag(self):
+        amm = make_amm()
+        descs = amm.md_phase(amm.create_replicas(), 0)
+        results = [d.work() for d in descs]
+        for desc in descs:
+            assert amm.sandbox.exists(amm.adapter.info_file(desc.name))
+        assert len({r.potential_energy for r in results}) == len(descs)
+
+
 class TestProcessOutput:
     def _run_one(self, amm, rep, cycle=0):
         desc = amm.md_task(rep, cycle)

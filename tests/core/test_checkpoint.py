@@ -5,13 +5,19 @@ import json
 import pytest
 
 from repro.core import RepEx
+from dataclasses import fields
+
 from repro.core.checkpoint import (
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
     Checkpoint,
     CheckpointError,
+    RNGSchemeError,
+    _json_default,
+    _json_native,
 )
-from repro.core.config import PatternSpec
+from repro.core.config import DimensionSpec, PatternSpec, ResourceSpec
+from repro.utils.rng import RNG_SCHEME
 from tests.conftest import small_tremd_config
 
 
@@ -336,3 +342,84 @@ class TestAtomicSave:
         # the half-written data never reached the real name
         assert target.read_text() == before
         Checkpoint.load(target)
+
+
+def double_dump_to_json(ckpt: Checkpoint) -> str:
+    """``to_json`` as it was written before the single-pass form: hash a
+    sorted dump of the snapshot, then dump it again with the checksum."""
+    data = _json_native({f.name: getattr(ckpt, f.name) for f in fields(ckpt)})
+    data["checksum"] = Checkpoint._content_checksum(data)
+    return json.dumps(data, default=_json_default, sort_keys=True)
+
+
+def wide_async_run(tmp_path):
+    config = small_tremd_config(
+        n_cycles=4,
+        pattern=PatternSpec(kind="asynchronous"),
+        dimensions=[DimensionSpec("temperature", 12, 273.0, 373.0)],
+        resource=ResourceSpec("supermic", cores=6),
+        numeric_steps=2,
+    )
+    repex = RepEx(
+        config, checkpoint_every_s=150.0, checkpoint_dir=tmp_path / "ckpts"
+    )
+    repex.run()
+    return repex
+
+
+class TestSerialiseOnce:
+    def test_sync_text_equals_double_dump(self, tmp_path):
+        repex, _ = checkpointed_run(tmp_path)
+        for ckpt in repex.checkpoints:
+            assert ckpt.to_json() == double_dump_to_json(ckpt)
+
+    def test_wide_async_text_equals_double_dump(self, tmp_path):
+        repex = wide_async_run(tmp_path)
+        assert repex.checkpoints
+        for ckpt in repex.checkpoints:
+            assert len(ckpt.async_state["cycles_done"]) >= 10
+            assert ckpt.to_json() == double_dump_to_json(ckpt)
+
+    def test_flipped_byte_still_rejected(self, tmp_path):
+        repex = wide_async_run(tmp_path)
+        path = sorted((tmp_path / "ckpts").glob("quiesce_*.json"))[0]
+        text = path.read_text()
+        Checkpoint.load(path)
+        # flip one digit of the first replica coordinate: still valid JSON
+        # of the right shape, so only the checksum can catch it
+        at = text.index('"coords": [') + len('"coords": [') + 3
+        digit = text[at]
+        assert digit.isdigit()
+        path.write_text(text[:at] + str((int(digit) + 1) % 10) + text[at + 1:])
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            Checkpoint.load(path)
+
+
+class TestRNGScheme:
+    def test_scheme_stamped(self, tmp_path):
+        repex, _ = checkpointed_run(tmp_path)
+        assert repex.checkpoints[0].rng["scheme"] == RNG_SCHEME
+
+    def test_amm_blob_has_no_init_streams(self, tmp_path):
+        repex = wide_async_run(tmp_path)
+        for ckpt in repex.checkpoints:
+            keys = [json.loads(k) for k in ckpt.rng["amm"]["streams"]]
+            assert keys, "the exchange streams are still captured"
+            assert not [k for k in keys if k[0] in ("init", "replica-speed")]
+
+    @pytest.mark.parametrize("scheme", [None, "seedsequence-pcg64"])
+    def test_resume_under_other_scheme_raises(self, tmp_path, scheme):
+        repex, _ = checkpointed_run(tmp_path)
+        data = json.loads(repex.checkpoints[0].to_json())
+        if scheme is None:
+            # checkpoints written before the stamp carry no scheme at all
+            del data["rng"]["scheme"]
+        else:
+            data["rng"]["scheme"] = scheme
+        data["checksum"] = Checkpoint._content_checksum(data)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        Checkpoint.load(path)  # still readable for inspection
+        resumed = RepEx(small_tremd_config(n_cycles=4), resume_from=path)
+        with pytest.raises(RNGSchemeError, match="RNG scheme"):
+            resumed.run()

@@ -140,3 +140,63 @@ class TestPerDimensionCounters:
         assert len(per_dim) == 2
         assert all(v > 0 for v in per_dim.values())
         assert sum(per_dim.values()) == counters["exchange.attempted"]
+
+
+class TestEncoding:
+    """The manifest writers reuse one sorted-keys encoder; its output must
+    be byte-identical to ``json.dumps(record, sort_keys=True)``."""
+
+    KINDS = {"run", "metrics", "span", "unit", "fault", "ladder", "alert", "event"}
+
+    def run_all_kinds(self, path):
+        from repro.obs.alerts import AlertRule
+
+        config = small_tremd_config(
+            n_cycles=3,
+            failure=FailureSpec(
+                policy="continue",
+                staging_fault_probability=0.3,
+                staging_max_retries=6,
+            ),
+        )
+        rule = AlertRule(
+            name="any_cycle", kind="above", metric="emm.cycles", threshold=0
+        )
+        with using_registry(MetricsRegistry()):
+            return RepEx(
+                config, alert_rules=[rule], manifest_path=path
+            ).run()
+
+    def test_every_record_kind_matches_json_dumps(self, tmp_path, monkeypatch):
+        import repro.obs.manifest as manifest_mod
+
+        path = tmp_path / "run.jsonl"
+        result = self.run_all_kinds(path)
+        text = result.manifest.to_jsonl()
+        streamed = path.read_text()
+        kinds = {json.loads(line)["kind"] for line in text.splitlines()}
+        kinds |= {json.loads(line)["kind"] for line in streamed.splitlines()}
+        assert kinds == self.KINDS
+
+        monkeypatch.setattr(
+            manifest_mod, "_encode", lambda r: json.dumps(r, sort_keys=True)
+        )
+        assert result.manifest.to_jsonl() == text
+        reference = self.run_all_kinds(tmp_path / "reference.jsonl")
+        assert reference.manifest.to_jsonl() == text
+        assert (tmp_path / "reference.jsonl").read_text() == streamed
+
+    def test_awkward_values_match_json_dumps(self):
+        from repro.obs.manifest import _encode
+
+        record = {
+            "kind": "unit",
+            "name": "md_r00001_c0002 é☃",
+            "t": 0.1 + 0.2,
+            "big": 1e300,
+            "nan": float("nan"),
+            "inf": float("-inf"),
+            "flags": [True, False, None],
+            "nested": {"b": [1, {"z": 2, "a": 3}], "a": -0.0},
+        }
+        assert _encode(record) == json.dumps(record, sort_keys=True)

@@ -11,8 +11,8 @@ Coverage matrix: {synchronous, asynchronous} x {clean, unit faults,
 staging faults, straggler + watchdog speculation, checkpoint/resume},
 plus hypothesis-driven random ladders, and unit-level differential
 properties for the two vectorized kernels (batched Brownian integration
-vs per-unit ``run_md``; the write-side mdin/mdinfo parse caches vs the
-regex reference).
+vs per-unit ``run_md``; the in-memory typed mdin record vs the regex
+parse of its text).
 """
 
 from __future__ import annotations
@@ -398,11 +398,11 @@ def test_batched_md_is_bit_identical_to_per_unit(specs):
         max_size=3,
     ),
 )
-def test_mdin_write_cache_matches_regex_parse(
+def test_mdin_record_matches_regex_parse(
     temp, salt, n_steps, stride, seed, restraints
 ):
-    """The write-side parse cache returns exactly what the regex reference
-    extracts from the same bytes."""
+    """What the in-memory sandbox hands back for an mdin is exactly what the
+    regex parser extracts from the same file's text."""
     adapter = AmberAdapter()
     sandbox = Sandbox()
     state = ThermodynamicState(
@@ -416,11 +416,12 @@ def test_mdin_write_cache_matches_regex_parse(
     adapter.write_input(
         sandbox, "t", np.array([0.3, -0.4]), state, params, seed
     )
-    cached = adapter._parse_mdin(sandbox, "t")
-    adapter.__dict__.pop("_mdin_cache", None)  # force the regex path
-    reference = adapter._parse_mdin(sandbox, "t")
-    c_params, c_state, c_seed = cached
-    r_params, r_state, r_seed = reference
+    # the same files as text only: every read goes through the parser
+    text_box = Sandbox()
+    for name in sandbox.listdir():
+        text_box.write_text(name, sandbox.read_text(name))
+    c_params, c_state, c_seed = adapter._parse_mdin(sandbox, "t")
+    r_params, r_state, r_seed = adapter._parse_mdin(text_box, "t")
     assert c_seed == r_seed
     assert c_state == r_state
     assert (c_params.n_steps, c_params.sample_stride) == (
@@ -430,9 +431,9 @@ def test_mdin_write_cache_matches_regex_parse(
     assert c_params.integrator_params == r_params.integrator_params
 
 
-def test_mdin_cache_rejects_foreign_bytes():
-    """Editing the file after write_input must void the cache, not serve
-    stale values."""
+def test_edited_mdin_text_replaces_record():
+    """Text written over an mdin record after write_input is what the run
+    reads, not the stale record."""
     adapter = AmberAdapter()
     sandbox = Sandbox()
     params = MDParams(n_steps=10, sample_stride=0)

@@ -149,3 +149,44 @@ def test_amber_info_file_reports_run_energies(state, seed):
     assert info["restraint_energy"] == pytest.approx(
         result.restraint_energy, abs=0.01
     )
+
+
+@given(
+    state=state_strategy,
+    params=params_strategy,
+    coords=coords_strategy,
+    seed=seeds,
+)
+@settings(max_examples=100, deadline=None)
+def test_amber_records_are_their_text_round_trip(state, params, coords, seed):
+    """Every record the in-memory sandbox keeps for an MD phase equals what
+    its parser reads back from the text it renders, which is the text the
+    on-disk sandbox writes."""
+    from repro.md.amber import (
+        CoordsRecord,
+        DisangRecord,
+        MdinfoRecord,
+        MdinRecord,
+    )
+
+    adapter = AmberAdapter()
+    sb = Sandbox()
+    # a short run: the mdin keeps the drawn step count, the engine runs 5
+    adapter.write_input(sb, "f", coords, state, params, seed)
+    record = sb.read_record("f.mdin", MdinRecord)
+    assert MdinRecord.parse(record.render()) == record
+    short = MDParams(n_steps=5, sample_stride=params.sample_stride)
+    adapter.write_input(sb, "f", coords, state, short, seed)
+    adapter.run_md(sb, "f")
+    kinds = {
+        "f.mdin": MdinRecord,
+        "f.inpcrd": CoordsRecord,
+        "f.rst": CoordsRecord,
+        "f.mdinfo": MdinfoRecord,
+    }
+    if state.restraints:
+        kinds["f.RST"] = DisangRecord
+    for name, kind in kinds.items():
+        record = sb.read_record(name, kind)
+        assert type(record) is kind, name
+        assert kind.parse(record.render()) == record, name
